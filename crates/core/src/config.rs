@@ -1,4 +1,9 @@
 //! Top-level Segugio configuration.
+//!
+//! Nothing here selects a pipeline: the [`Tracker`](crate::Tracker) always
+//! carries state across days through the
+//! [`IncrementalEngine`](crate::IncrementalEngine), whose first day is the
+//! from-scratch build.
 
 use segugio_graph::PruneConfig;
 use segugio_ml::{BoostingConfig, ForestConfig, LogisticConfig};
@@ -60,7 +65,7 @@ impl Default for HealthPolicy {
 }
 
 /// Everything Segugio needs to build snapshots, train and detect.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegugioConfig {
     /// Feature-measurement windows.
     pub features: FeatureConfig,
@@ -81,43 +86,9 @@ pub struct SegugioConfig {
     /// uses every available core; `Some(1)` forces the exact serial path.
     /// Output is bit-for-bit identical at every setting.
     pub parallelism: Option<usize>,
-    /// When set, from-scratch snapshot builds accumulate the day's query
-    /// edges in fixed-capacity sorted runs of this many observations
-    /// (spilled to a scratch file past the cap) and build the CSR via the
-    /// streamed counting-sort merge ([`GraphBuilder::from_runs`]
-    /// (segugio_graph::GraphBuilder::from_runs)) instead of the in-memory
-    /// builder. Output is bit-for-bit identical; the knob only bounds the
-    /// build's peak memory by the run capacity instead of the day's edge
-    /// count. `None` keeps the in-memory path. A scratch-file I/O failure
-    /// falls back to the in-memory builder.
-    pub chunk_run_capacity: Option<usize>,
-    /// Whether multi-day drivers ([`Tracker`](crate::Tracker)) carry state
-    /// from day to day — delta-built graphs, a rolling abuse index, and a
-    /// dirty-set feature cache — instead of rebuilding everything from
-    /// scratch each morning. Outputs are bit-for-bit identical either way;
-    /// the knob only trades memory for time. One-shot snapshot building
-    /// ([`DaySnapshot::build`](crate::DaySnapshot::build)) has no previous
-    /// day and ignores it.
-    pub incremental: bool,
     /// Fallbacks for degraded days (no seeds, blank pDNS window). See
     /// [`HealthPolicy`].
     pub health: HealthPolicy,
-}
-
-impl Default for SegugioConfig {
-    fn default() -> Self {
-        SegugioConfig {
-            features: FeatureConfig::default(),
-            prune: PruneConfig::default(),
-            classifier: ClassifierKind::default(),
-            feature_columns: None,
-            probe_filter: None,
-            parallelism: None,
-            chunk_run_capacity: None,
-            incremental: true,
-            health: HealthPolicy::default(),
-        }
-    }
 }
 
 impl SegugioConfig {
@@ -147,7 +118,6 @@ mod tests {
         let c = SegugioConfig::default();
         assert!(matches!(c.classifier, ClassifierKind::Forest(_)));
         assert!(c.feature_columns.is_none());
-        assert!(c.incremental, "multi-day drivers reuse state by default");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! pDNS abuse window shifts by a single day, and the vast majority of
 //! domains end up with exactly the same feature vector as yesterday.
 //! [`IncrementalEngine`] exploits all three kinds of overlap while staying
-//! **bit-for-bit identical** to the from-scratch path:
+//! **bit-for-bit identical** to the from-scratch path. It is the
+//! [`Tracker`](crate::Tracker)'s only day pipeline: its first day (and any
+//! day after [`reset`](IncrementalEngine::reset)) *is* the from-scratch
+//! build, and every later day advances three layers:
 //!
 //! 1. the unpruned graph is advanced by
 //!    [`DeltaBuilder`](segugio_graph::DeltaBuilder) instead of re-sorting
@@ -82,11 +85,10 @@ pub struct DayFeatures {
 ///
 /// Use [`build_snapshot`](Self::build_snapshot) then
 /// [`measure_day`](Self::measure_day) once per day, in ascending day order.
-/// Both are drop-in replacements for the from-scratch path
+/// Both are drop-in replacements for the one-shot from-scratch APIs
 /// ([`DaySnapshot::build`] + [`build_training_set`](crate::build_training_set)
 /// / [`score_unknown`](crate::SegugioModel::score_unknown)) with identical
-/// outputs; [`Tracker`](crate::Tracker) switches between the two paths on
-/// the [`SegugioConfig::incremental`] knob.
+/// outputs; [`Tracker`](crate::Tracker) runs every day through them.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalEngine {
     delta: Option<DeltaBuilder>,
@@ -306,7 +308,9 @@ impl IncrementalEngine {
     /// feed: [`RollingAbuseIndex`](segugio_pdns::RollingAbuseIndex) evicts
     /// leaving days by re-reading them from the *current* feed, so state
     /// carried across an inconsistent feed would silently diverge from the
-    /// from-scratch path. A full reset is always parity-safe.
+    /// from-scratch path. The [`Tracker`](crate::Tracker) resets both
+    /// before a blank-pDNS day (which then runs as a cold start) and after
+    /// it. A full reset is always parity-safe.
     pub fn reset(&mut self) {
         *self = Self::default();
     }

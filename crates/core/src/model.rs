@@ -123,8 +123,8 @@ impl SegugioModel {
 
     /// Sets the worker-thread count used by the bulk scoring entry points
     /// ([`score_unknown`](Self::score_unknown) /
-    /// [`score_where`](Self::score_where)): `None` uses every available
-    /// core, `Some(1)` forces the serial path. Scores are bit-for-bit
+    /// [`score_where_with`](Self::score_where_with)): `None` uses every
+    /// available core, `Some(1)` forces the serial path. Scores are bit-for-bit
     /// identical at every setting. Models from
     /// [`load_from_str`](Self::load_from_str) default to `None`.
     #[must_use]
@@ -290,7 +290,14 @@ impl SegugioModel {
         snapshot: &DaySnapshot,
         activity: &ActivityStore,
     ) -> Vec<Detection> {
-        self.score_where(snapshot, activity, |label| label == Label::Unknown)
+        let mut buf = ScoreBuffer::new();
+        self.score_where_with(
+            snapshot,
+            activity,
+            |label| label == Label::Unknown,
+            &mut buf,
+        );
+        buf.take_detections()
     }
 
     /// [`score_unknown`](Self::score_unknown) into a reusable buffer.
@@ -303,23 +310,9 @@ impl SegugioModel {
         self.score_where_with(snapshot, activity, |label| label == Label::Unknown, buf);
     }
 
-    /// Measures and scores every domain whose label satisfies `pred`.
-    pub fn score_where<F>(
-        &self,
-        snapshot: &DaySnapshot,
-        activity: &ActivityStore,
-        pred: F,
-    ) -> Vec<Detection>
-    where
-        F: Fn(Label) -> bool,
-    {
-        let mut buf = ScoreBuffer::new();
-        self.score_where_with(snapshot, activity, pred, &mut buf);
-        buf.take_detections()
-    }
-
-    /// [`score_where`](Self::score_where) into a reusable buffer: the
-    /// sorted detections land in `buf` and no intermediate vectors are
+    /// Measures and scores every domain whose label satisfies `pred` into
+    /// a reusable buffer: the detections land in `buf` sorted by descending
+    /// score (domain id as the tie-break), and no intermediate vectors are
     /// allocated once the buffer has warmed up.
     ///
     /// With a forest backend, candidates are measured and scored in
@@ -400,20 +393,13 @@ impl SegugioModel {
             .sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.domain.cmp(&b.domain)));
     }
 
-    /// Scores pre-measured feature rows and returns detections sorted
-    /// exactly like [`score_where`](Self::score_where) (descending score,
-    /// domain id as the tie-break).
+    /// Scores pre-measured feature rows into a reusable buffer, with the
+    /// detections sorted exactly like
+    /// [`score_where_with`](Self::score_where_with)'s.
     ///
     /// The incremental engine measures rows itself — reusing cached columns
     /// for unchanged domains — and hands them here; with identical rows the
-    /// result is bit-for-bit what `score_where` would produce.
-    pub fn score_rows(&self, ids: &[DomainId], rows: &[[f32; FEATURE_COUNT]]) -> Vec<Detection> {
-        let mut buf = ScoreBuffer::new();
-        self.score_rows_with(ids, rows, &mut buf);
-        buf.take_detections()
-    }
-
-    /// [`score_rows`](Self::score_rows) into a reusable buffer. The rows
+    /// result is bit-for-bit what `score_where_with` would produce. The rows
     /// are already contiguous, so the forest path hands each worker's chunk
     /// straight to the flat forest's blocked scorer — no copies at all.
     pub fn score_rows_with(

@@ -127,25 +127,14 @@ impl DaySnapshot {
     }
 }
 
-/// Builds the day's *unpruned, unlabeled* graph with its annotations — the
-/// part of [`DaySnapshot::build`] that the incremental engine replaces with
-/// a [`DeltaBuilder`](segugio_graph::DeltaBuilder) advance.
+/// Builds the day's *unpruned, unlabeled* graph with its annotations in
+/// memory — the part of [`DaySnapshot::build`] that the incremental engine
+/// replaces with a [`DeltaBuilder`](segugio_graph::DeltaBuilder) advance
+/// after its first day.
 pub(crate) fn build_unpruned_graph(
     input: &SnapshotInput<'_>,
     config: &SegugioConfig,
 ) -> BehaviorGraph {
-    if let Some(capacity) = config.chunk_run_capacity {
-        let mut runs = EdgeRuns::with_run_capacity(capacity);
-        runs.extend(input.queries.iter().copied());
-        let built = GraphBuilder::from_runs(input.day, &runs, input.resolutions, |d| {
-            input.table.e2ld_of(d)
-        });
-        if let Ok(graph) = built {
-            return graph;
-        }
-        // Scratch-file I/O failed; the queries are still resident in
-        // `input`, so the in-memory path below is an exact fallback.
-    }
     let mut builder = GraphBuilder::new(input.day);
     builder.set_parallelism(config.effective_parallelism());
     builder.add_queries(input.queries.iter().copied());
@@ -312,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_paths_match_in_memory_build() {
+    fn chunked_runs_match_in_memory_build() {
         let (table, ids) = table_with(&["evil.example", "www.good.example", "other.example"]);
         let mut blacklist = Blacklist::new();
         blacklist.insert(ids[0], Day(0));
@@ -345,12 +334,6 @@ mod tests {
         let reference = DaySnapshot::build(&input, &config);
 
         // Capacity 4 forces several sealed (spilled) runs out of 18 edges.
-        let chunked = SegugioConfig {
-            chunk_run_capacity: Some(4),
-            ..config.clone()
-        };
-        let via_config = DaySnapshot::build(&input, &chunked);
-
         let mut runs = EdgeRuns::with_run_capacity(4);
         runs.extend(queries.iter().copied());
         let empty_queries = SnapshotInput {
@@ -359,17 +342,15 @@ mod tests {
         };
         let via_runs = DaySnapshot::build_from_runs(&empty_queries, &runs, &config).unwrap();
 
-        for snap in [&via_config, &via_runs] {
-            assert_eq!(
-                format!("{:?}", reference.graph),
-                format!("{:?}", snap.graph)
-            );
-            assert_eq!(reference.unpruned_counts, snap.unpruned_counts);
-            assert_eq!(
-                format!("{:?}", reference.prune_stats),
-                format!("{:?}", snap.prune_stats)
-            );
-        }
+        assert_eq!(
+            format!("{:?}", reference.graph),
+            format!("{:?}", via_runs.graph)
+        );
+        assert_eq!(reference.unpruned_counts, via_runs.unpruned_counts);
+        assert_eq!(
+            format!("{:?}", reference.prune_stats),
+            format!("{:?}", via_runs.prune_stats)
+        );
     }
 
     #[test]

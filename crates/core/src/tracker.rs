@@ -6,11 +6,15 @@
 //! confirms them. [`Tracker`] packages that loop (the `isp_deployment`
 //! example and the Fig. 11 experiment are both instances of it).
 //!
-//! With [`SegugioConfig::incremental`] on (the default), consecutive days
-//! are processed through the [`IncrementalEngine`]: the behavior graph is
+//! Every day runs through the [`IncrementalEngine`]: the behavior graph is
 //! delta-built from yesterday's, the abuse index rolls its window forward
 //! by one day, and unchanged domains reuse yesterday's feature rows. The
-//! reports are bit-for-bit identical to the from-scratch path either way.
+//! engine's first day — and any day after a reset — is the from-scratch
+//! build, and the reports are bit-for-bit identical to running every day
+//! from scratch through the one-shot APIs
+//! ([`DaySnapshot::build`](crate::DaySnapshot::build),
+//! [`build_training_set`](crate::build_training_set),
+//! [`SegugioModel::score_unknown`]).
 
 use std::collections::BTreeMap;
 
@@ -23,8 +27,8 @@ use crate::error::{TrackerError, TrainError};
 use crate::features::{FeatureGroup, FEATURE_COUNT};
 use crate::incremental::IncrementalEngine;
 use crate::model::{Detection, ScoreBuffer, SegugioModel};
-use crate::snapshot::{DaySnapshot, SnapshotInput};
-use crate::trainer::{build_training_set, Segugio};
+use crate::snapshot::SnapshotInput;
+use crate::trainer::Segugio;
 
 /// Tracker configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,8 +154,8 @@ pub struct Tracker {
     /// Confirmed detections: domain → (flagged day, confirmed day).
     pub(crate) confirmed: BTreeMap<DomainId, (Day, Day)>,
     pub(crate) days_processed: usize,
-    /// Cross-day incremental state; only advanced when
-    /// [`SegugioConfig::incremental`] is set.
+    /// Cross-day incremental state: delta graph, rolling abuse index and
+    /// feature cache.
     pub(crate) engine: IncrementalEngine,
     /// The most recent successfully trained model, for stale-model
     /// fallback scoring on seedless days.
@@ -224,7 +228,6 @@ impl Tracker {
         config: &TrackerConfig,
     ) -> Result<DayReport, TrackerError> {
         let day = input.day;
-        let incremental = config.segugio.incremental;
         let health = &config.segugio.health;
         let mut degradation = Vec::new();
 
@@ -242,8 +245,10 @@ impl Tracker {
         //    engine must not carry state across the inconsistency (its
         //    rolling index later evicts days by re-reading the *current*
         //    feed, so a blanked-then-restored feed would silently poison
-        //    it). A full reset is always parity-safe: the next day is
-        //    rebuilt from scratch, exactly like a fresh engine's first day.
+        //    it). The engine is therefore reset before the blank day, which
+        //    it then processes as a cold start, and again after it, so the
+        //    next day is rebuilt from scratch exactly like a fresh engine's
+        //    first day. A full reset is always parity-safe.
         let window = day.lookback_exclusive(config.segugio.features.abuse_window_days);
         let pdns_blank = input.pdns.records_in(window).next().is_none();
         let effective = if pdns_blank && health.mask_ip_features_on_blank_pdns {
@@ -272,20 +277,12 @@ impl Tracker {
         };
         let train_config = effective.as_ref().unwrap_or(&config.segugio);
 
-        // 2. Build today's snapshot. On a blank-pDNS day the incremental
-        //    engine is bypassed *and* reset (see above); otherwise it
-        //    advances its delta graph and rolling abuse window. The
-        //    scratch path leaves the engine untouched (its next advance
-        //    simply covers a larger step, which both layers handle).
-        let use_engine = incremental && !pdns_blank;
-        let snapshot = if use_engine {
-            self.engine.build_snapshot(input, &config.segugio)
-        } else {
-            if incremental && pdns_blank {
-                self.engine.reset();
-            }
-            DaySnapshot::build(input, &config.segugio)
-        };
+        // 2. Build today's snapshot: the engine advances its delta graph
+        //    and rolling abuse window (a cold start after a reset).
+        if pdns_blank {
+            self.engine.reset();
+        }
+        let snapshot = self.engine.build_snapshot(input, &config.segugio);
 
         // 3. Seed check *before* mutating any tracker state, so a
         //    no-training-data day is fully skippable. With the stale-model
@@ -303,8 +300,13 @@ impl Tracker {
                 None => {
                     // A snapshot was built but its features will not be
                     // measured; the engine's feature cache would diff
-                    // against the wrong day.
-                    self.engine.reset_cache();
+                    // against the wrong day. After a blank-pDNS snapshot
+                    // the rolling window must not survive either.
+                    if pdns_blank {
+                        self.engine.reset();
+                    } else {
+                        self.engine.reset_cache();
+                    }
                     return Err(TrackerError::InsufficientSeeds {
                         day,
                         malware,
@@ -331,48 +333,40 @@ impl Tracker {
 
         // 5. Measure features, train on today's knowledge, and calibrate
         //    the threshold on the known domains' hidden-label scores. The
-        //    training set is extracted once and used for both training and
-        //    calibration — feature measurement is the expensive half of
-        //    the day. The incremental path measures every domain in one
-        //    pass (reusing yesterday's clean rows) so the unknowns' rows
-        //    are already in hand when scoring. On a stale-model day there
-        //    is nothing to train or calibrate: the retained model and its
-        //    threshold score today's unknowns directly (the Fig. 6
-        //    cross-day result is what makes that meaningful), and the
-        //    engine's feature cache is reset since no measurement pass ran.
-        let map_train_err =
-            |TrainError::InsufficientSeeds { malware, benign }| TrackerError::InsufficientSeeds {
-                day,
-                malware,
-                benign,
-            };
-        let (retain, threshold) = if let Some(retained) = stale {
+        //    engine measures every domain in one pass (reusing yesterday's
+        //    clean rows): the training rows serve both training and
+        //    calibration, and the unknowns' rows are already in hand when
+        //    scoring. On a stale-model day there is nothing to train or
+        //    calibrate: the retained model and its threshold score today's
+        //    unknown rows directly (the Fig. 6 cross-day result is what
+        //    makes that meaningful).
+        let features = self.engine.measure_day(&snapshot, activity, train_config);
+        if pdns_blank {
+            self.engine.reset();
+        }
+        let (model, threshold, fresh) = if let Some(retained) = stale {
             degradation.push(Degradation::StaleModel {
                 trained_on: retained.trained_on,
             });
-            self.engine.reset_cache();
-            retained
-                .model
-                .score_unknown_with(&snapshot, activity, &mut self.score_buf);
-            (None, retained.threshold)
-        } else if use_engine {
-            let features = self.engine.measure_day(&snapshot, activity, train_config);
-            let model =
-                Segugio::train_prepared(&features.train, train_config).map_err(map_train_err)?;
-            let threshold = Self::calibrate(&model, &features.train, config, &mut self.score_buf);
-            model.score_rows_with(
-                &features.unknown_ids,
-                &features.unknown_rows,
-                &mut self.score_buf,
-            );
-            (Some(model), threshold)
+            (retained.model, retained.threshold, false)
         } else {
-            let (train_set, _) = build_training_set(&snapshot, activity, train_config);
-            let model = Segugio::train_prepared(&train_set, train_config).map_err(map_train_err)?;
-            let threshold = Self::calibrate(&model, &train_set, config, &mut self.score_buf);
-            model.score_unknown_with(&snapshot, activity, &mut self.score_buf);
-            (Some(model), threshold)
+            let model = Segugio::train_prepared(&features.train, train_config).map_err(
+                |TrainError::InsufficientSeeds { malware, benign }| {
+                    TrackerError::InsufficientSeeds {
+                        day,
+                        malware,
+                        benign,
+                    }
+                },
+            )?;
+            let threshold = Self::calibrate(&model, &features.train, config, &mut self.score_buf);
+            (model, threshold, true)
         };
+        model.score_rows_with(
+            &features.unknown_ids,
+            &features.unknown_rows,
+            &mut self.score_buf,
+        );
 
         // 6. Detect. The scored detections live in the reusable buffer;
         //    only those at/above threshold are copied out into the report.
@@ -410,7 +404,7 @@ impl Tracker {
         // A freshly trained model is retained for stale-model fallback on
         // later seedless days; a reused stale model is *not* re-retained
         // (its training day, and hence its age, is unchanged).
-        if let Some(model) = retain {
+        if fresh {
             self.last_model = Some(RetainedModel {
                 model,
                 threshold,
@@ -563,62 +557,6 @@ mod tests {
                     det.domain
                 );
             }
-        }
-    }
-
-    /// The incremental and from-scratch paths must produce identical
-    /// reports, day after day, on identical traffic.
-    #[test]
-    #[cfg_attr(miri, ignore = "multi-day ISP simulation is too slow under Miri")]
-    fn incremental_and_scratch_reports_match() {
-        // Two networks with the same seed generate identical traffic.
-        let mut isp_a = IspNetwork::new(IspConfig::tiny(55));
-        let mut isp_b = IspNetwork::new(IspConfig::tiny(55));
-        isp_a.warm_up(16);
-        isp_b.warm_up(16);
-        let mut fast = Tracker::new();
-        let mut slow = Tracker::new();
-        let fast_config = TrackerConfig {
-            target_fpr: 0.02,
-            ..TrackerConfig::default()
-        };
-        let mut slow_config = fast_config.clone();
-        slow_config.segugio.incremental = false;
-        assert!(
-            fast_config.segugio.incremental,
-            "incremental is the default"
-        );
-
-        for _ in 0..5 {
-            let ta = isp_a.next_day();
-            let tb = isp_b.next_day();
-            let ia = SnapshotInput {
-                day: ta.day,
-                queries: &ta.queries,
-                resolutions: &ta.resolutions,
-                table: isp_a.table(),
-                pdns: isp_a.pdns(),
-                blacklist: isp_a.commercial_blacklist(),
-                whitelist: isp_a.whitelist(),
-                hidden: None,
-            };
-            let ib = SnapshotInput {
-                day: tb.day,
-                queries: &tb.queries,
-                resolutions: &tb.resolutions,
-                table: isp_b.table(),
-                pdns: isp_b.pdns(),
-                blacklist: isp_b.commercial_blacklist(),
-                whitelist: isp_b.whitelist(),
-                hidden: None,
-            };
-            let ra = fast
-                .process_day(&ia, isp_a.activity(), &fast_config)
-                .expect("seeds present");
-            let rb = slow
-                .process_day(&ib, isp_b.activity(), &slow_config)
-                .expect("seeds present");
-            assert_eq!(ra, rb, "day {} reports diverged", ta.day);
         }
     }
 
@@ -798,9 +736,9 @@ mod tests {
             .expect("F1+F2 are enough to train");
         assert_eq!(report.degradation, vec![Degradation::MaskedIpFeatures]);
 
-        // The next day, with the feed restored, is healthy again — and the
-        // incremental engine (reset around the blank day) still matches a
-        // from-scratch tracker fed the same two days.
+        // The next day, with the feed restored, is healthy again. The
+        // report-for-report comparison of this sequence against the
+        // from-scratch reference tracker lives in `tests/degraded_mode.rs`.
         let traffic = isp.next_day();
         let input = SnapshotInput {
             day: traffic.day,

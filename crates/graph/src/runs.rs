@@ -180,7 +180,6 @@ impl EdgeRuns {
             Ok(()) => self.current.clear(),
             Err(_) => {
                 let full = std::mem::take(&mut self.current);
-                // segugio-lint: allow(H4, amortized: seal() runs once per filled run, not per push)
                 self.current = Vec::with_capacity(full.capacity());
                 self.resident.push(full);
             }
@@ -192,7 +191,6 @@ impl EdgeRuns {
         if self.spill.is_none() {
             self.spill = Some(Spill {
                 file: create_scratch_file()?,
-                // segugio-lint: allow(H4, empty Vec::new is lazy; the spill file itself is created once)
                 runs: Vec::new(),
                 bytes: 0,
             });
@@ -203,7 +201,6 @@ impl EdgeRuns {
             return Err(io::Error::other("spill state vanished"));
         };
         spill.file.seek(SeekFrom::Start(spill.bytes))?;
-        // segugio-lint: allow(H4, amortized: one staging buffer per spill, and spills happen once per filled run)
         let mut buf = Vec::with_capacity(PAIR_BYTES * REFILL_PAIRS.min(self.current.len()));
         for chunk in self.current.chunks(REFILL_PAIRS) {
             buf.clear();

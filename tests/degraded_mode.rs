@@ -1,9 +1,12 @@
 //! Chaos contract: multi-day deployments driven through the deterministic
 //! fault injector complete without panics, degrade only where a fault
 //! actually fired, and — with the injector disabled — are bit-for-bit
-//! identical to the clean path. The incremental and from-scratch engines
-//! must also agree under every fault schedule (the degraded-mode resets
-//! are part of the parity contract).
+//! identical to the clean path. The tracker must also agree with the
+//! from-scratch reference tracker in `tests/support` under every fault
+//! schedule (the degraded-mode engine resets are part of the parity
+//! contract).
+
+mod support;
 
 use segugio_core::{
     DayOutcome, DayReport, Degradation, SnapshotInput, Tracker, TrackerConfig, TrackerError,
@@ -12,6 +15,7 @@ use segugio_ingest::{IngestError, LogCollector, QuarantinePolicy};
 use segugio_model::{Blacklist, Day};
 use segugio_pdns::PassiveDns;
 use segugio_traffic::{FaultConfig, FaultInjector, IspConfig, IspNetwork};
+use support::Pipeline;
 
 /// What happened to one generated day in a chaos deployment.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,18 +34,12 @@ fn run_chaos(
     cfg: &IspConfig,
     days: usize,
     faults: FaultConfig,
-    incremental: bool,
+    mut pipeline: Pipeline,
 ) -> Vec<ChaosDay> {
     let mut isp = IspNetwork::new(cfg.clone());
     isp.warm_up(16);
     let injector = FaultInjector::new(faults);
-    let mut tracker = Tracker::new();
-    let mut config = TrackerConfig {
-        target_fpr: 0.02,
-        ..TrackerConfig::default()
-    };
-    config.segugio.incremental = incremental;
-    config.segugio.parallelism = Some(1);
+    let config = serial_config();
     let blank = PassiveDns::new();
     let mut outcomes = Vec::with_capacity(days);
     for _ in 0..days {
@@ -69,7 +67,7 @@ fn run_chaos(
             whitelist: isp.whitelist(),
             hidden: None,
         };
-        outcomes.push(ChaosDay::Delivered(tracker.process_day_outcome(
+        outcomes.push(ChaosDay::Delivered(pipeline.process_day(
             &input,
             isp.activity(),
             &config,
@@ -78,37 +76,83 @@ fn run_chaos(
     outcomes
 }
 
-/// Runs the plain clean deployment (no injector anywhere in the loop).
-fn run_clean(cfg: &IspConfig, days: usize, incremental: bool) -> Vec<DayReport> {
-    let mut isp = IspNetwork::new(cfg.clone());
-    isp.warm_up(16);
-    let mut tracker = Tracker::new();
+/// The tracker configuration every deployment in this suite runs with.
+fn serial_config() -> TrackerConfig {
     let mut config = TrackerConfig {
         target_fpr: 0.02,
         ..TrackerConfig::default()
     };
-    config.segugio.incremental = incremental;
     config.segugio.parallelism = Some(1);
-    let mut reports = Vec::with_capacity(days);
-    for _ in 0..days {
+    config
+}
+
+/// What one day of a scripted deployment is fed with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Feed {
+    /// The network's own pDNS feed and blacklist.
+    Healthy,
+    /// A pDNS feed that has no records at all.
+    BlankPdns,
+    /// An empty blacklist: the day has no malware seeds.
+    EmptyBlacklist,
+    /// Both a blank pDNS feed and an empty blacklist.
+    Outage,
+}
+
+/// Runs a deployment without the injector, one day per `schedule` entry,
+/// and returns every day's outcome.
+fn run_outcomes(
+    cfg: &IspConfig,
+    schedule: &[Feed],
+    config: &TrackerConfig,
+    mut pipeline: Pipeline,
+) -> Vec<DayOutcome> {
+    let mut isp = IspNetwork::new(cfg.clone());
+    isp.warm_up(16);
+    let empty_blacklist = Blacklist::new();
+    let blank_pdns = PassiveDns::new();
+    let mut outcomes = Vec::with_capacity(schedule.len());
+    for &feed in schedule {
         let traffic = isp.next_day();
         let input = SnapshotInput {
             day: traffic.day,
             queries: &traffic.queries,
             resolutions: &traffic.resolutions,
             table: isp.table(),
-            pdns: isp.pdns(),
-            blacklist: isp.commercial_blacklist(),
+            pdns: if matches!(feed, Feed::BlankPdns | Feed::Outage) {
+                &blank_pdns
+            } else {
+                isp.pdns()
+            },
+            blacklist: if matches!(feed, Feed::EmptyBlacklist | Feed::Outage) {
+                &empty_blacklist
+            } else {
+                isp.commercial_blacklist()
+            },
             whitelist: isp.whitelist(),
             hidden: None,
         };
-        reports.push(
-            tracker
-                .process_day(&input, isp.activity(), &config)
-                .expect("clean warmed-up fixture seeds both classes"),
-        );
+        outcomes.push(pipeline.process_day(&input, isp.activity(), config));
     }
-    reports
+    outcomes
+}
+
+/// [`run_outcomes`], where every day must complete: returns the reports.
+fn run_schedule(
+    cfg: &IspConfig,
+    schedule: &[Feed],
+    config: &TrackerConfig,
+    pipeline: Pipeline,
+) -> Vec<DayReport> {
+    run_outcomes(cfg, schedule, config, pipeline)
+        .into_iter()
+        .map(|outcome| match outcome {
+            DayOutcome::Processed(report) => report,
+            DayOutcome::Skipped { day, error } => {
+                panic!("{day} must complete under the health policy: {error}")
+            }
+        })
+        .collect()
 }
 
 /// Chaos seeds used by this suite and by the CI `chaos` job. Keep at
@@ -116,21 +160,21 @@ fn run_clean(cfg: &IspConfig, days: usize, incremental: bool) -> Vec<DayReport> 
 const CHAOS_SEEDS: [u64; 3] = [101, 202, 303];
 
 /// Ten chaotic days at every seed: no panics, every skip is typed, and the
-/// incremental engine agrees with the from-scratch path outcome-for-outcome
-/// under the identical fault schedule.
+/// tracker agrees with the reference tracker outcome-for-outcome under the
+/// identical fault schedule.
 #[test]
 fn chaos_deployments_complete_at_every_seed() {
     let mut eventful_days = 0usize;
     for seed in CHAOS_SEEDS {
         let cfg = IspConfig::tiny(90);
-        let incremental = run_chaos(&cfg, 10, FaultConfig::chaos(seed), true);
-        let scratch = run_chaos(&cfg, 10, FaultConfig::chaos(seed), false);
-        assert_eq!(incremental.len(), 10);
+        let tracker = run_chaos(&cfg, 10, FaultConfig::chaos(seed), Pipeline::tracker());
+        let reference = run_chaos(&cfg, 10, FaultConfig::chaos(seed), Pipeline::oracle(None));
+        assert_eq!(tracker.len(), 10);
         assert_eq!(
-            incremental, scratch,
-            "incremental and scratch paths diverged under chaos seed {seed}"
+            tracker, reference,
+            "tracker and reference diverged under chaos seed {seed}"
         );
-        for day in &incremental {
+        for day in &tracker {
             match day {
                 ChaosDay::NeverDelivered(_) => eventful_days += 1,
                 ChaosDay::Delivered(DayOutcome::Skipped { error, .. }) => {
@@ -163,9 +207,16 @@ fn chaos_deployments_complete_at_every_seed() {
 #[test]
 fn disabled_injector_is_bit_for_bit_clean() {
     let cfg = IspConfig::tiny(90);
-    for incremental in [true, false] {
-        let clean = run_clean(&cfg, 8, incremental);
-        let chaos = run_chaos(&cfg, 8, FaultConfig::disabled(99), incremental);
+    for oracle in [false, true] {
+        let pipeline = || {
+            if oracle {
+                Pipeline::oracle(None)
+            } else {
+                Pipeline::tracker()
+            }
+        };
+        let clean = run_schedule(&cfg, &[Feed::Healthy; 8], &serial_config(), pipeline());
+        let chaos = run_chaos(&cfg, 8, FaultConfig::disabled(99), pipeline());
         let unwrapped: Vec<DayReport> = chaos
             .into_iter()
             .map(|day| match day {
@@ -173,7 +224,7 @@ fn disabled_injector_is_bit_for_bit_clean() {
                 other => panic!("disabled injector must deliver every day, got {other:?}"),
             })
             .collect();
-        assert_eq!(unwrapped, clean, "incremental={incremental}");
+        assert_eq!(unwrapped, clean, "oracle={oracle}");
         assert!(
             unwrapped.iter().all(|r| r.degradation.is_empty()),
             "no fallback may fire on clean inputs"
@@ -189,8 +240,13 @@ fn faults_do_not_reach_back_to_clean_days() {
         let cfg = IspConfig::tiny(90);
         let faults = FaultConfig::chaos(seed);
         let injector = FaultInjector::new(faults.clone());
-        let clean = run_clean(&cfg, 10, true);
-        let chaos = run_chaos(&cfg, 10, faults, true);
+        let clean = run_schedule(
+            &cfg,
+            &[Feed::Healthy; 10],
+            &serial_config(),
+            Pipeline::tracker(),
+        );
+        let chaos = run_chaos(&cfg, 10, faults, Pipeline::tracker());
         let first_fault = clean
             .iter()
             .position(|r| injector.faults_for(r.day).any())
@@ -213,45 +269,11 @@ fn seedless_and_blank_pdns_days_fall_back_exactly_once_each() {
     const SEEDLESS: usize = 2;
     const BLANK: usize = 4;
     let cfg = IspConfig::tiny(90);
-    let run = |incremental: bool| -> Vec<DayReport> {
-        let mut isp = IspNetwork::new(cfg.clone());
-        isp.warm_up(16);
-        let mut tracker = Tracker::new();
-        let mut config = TrackerConfig {
-            target_fpr: 0.02,
-            ..TrackerConfig::default()
-        };
-        config.segugio.incremental = incremental;
-        config.segugio.parallelism = Some(1);
-        let empty_blacklist = Blacklist::new();
-        let blank_pdns = PassiveDns::new();
-        let mut reports = Vec::new();
-        for i in 0..7 {
-            let traffic = isp.next_day();
-            let input = SnapshotInput {
-                day: traffic.day,
-                queries: &traffic.queries,
-                resolutions: &traffic.resolutions,
-                table: isp.table(),
-                pdns: if i == BLANK { &blank_pdns } else { isp.pdns() },
-                blacklist: if i == SEEDLESS {
-                    &empty_blacklist
-                } else {
-                    isp.commercial_blacklist()
-                },
-                whitelist: isp.whitelist(),
-                hidden: None,
-            };
-            reports.push(
-                tracker
-                    .process_day(&input, isp.activity(), &config)
-                    .expect("every day must complete under the health policy"),
-            );
-        }
-        reports
-    };
+    let mut schedule = [Feed::Healthy; 7];
+    schedule[SEEDLESS] = Feed::EmptyBlacklist;
+    schedule[BLANK] = Feed::BlankPdns;
 
-    let reports = run(true);
+    let reports = run_schedule(&cfg, &schedule, &serial_config(), Pipeline::tracker());
     assert_eq!(reports.len(), 7, "the deployment completed end to end");
     for (i, report) in reports.iter().enumerate() {
         match i {
@@ -277,9 +299,100 @@ fn seedless_and_blank_pdns_days_fall_back_exactly_once_each() {
     // The stale-model day reuses yesterday's calibrated threshold.
     assert_eq!(reports[SEEDLESS].threshold, reports[SEEDLESS - 1].threshold);
 
-    // The engine resets around both fallbacks keep the incremental path
-    // bit-for-bit on the scratch path.
-    assert_eq!(run(false), reports);
+    // The engine resets around the blank day keep the tracker bit-for-bit
+    // on the reference.
+    assert_eq!(
+        run_schedule(&cfg, &schedule, &serial_config(), Pipeline::oracle(None)),
+        reports
+    );
+}
+
+/// A blank-pDNS day between healthy days: the engine is reset before the
+/// blank day, which runs as a cold start, and again after it, and every
+/// report equals the reference's. With masking off the blank day trains on
+/// all-empty abuse features, which a rolling index carried into the blank
+/// window would not reproduce.
+#[test]
+fn blank_pdns_day_matches_reference_report_for_report() {
+    let cfg = IspConfig::tiny(94);
+    let schedule = [Feed::Healthy, Feed::BlankPdns, Feed::Healthy, Feed::Healthy];
+    for mask in [true, false] {
+        let mut config = serial_config();
+        config.segugio.health.mask_ip_features_on_blank_pdns = mask;
+        let reports = run_schedule(&cfg, &schedule, &config, Pipeline::tracker());
+        let degradation: Vec<&[Degradation]> =
+            reports.iter().map(|r| r.degradation.as_slice()).collect();
+        let blank_day: &[Degradation] = if mask {
+            &[Degradation::MaskedIpFeatures]
+        } else {
+            &[]
+        };
+        assert_eq!(
+            degradation,
+            [&[][..], blank_day, &[], &[]],
+            "only the blank day may degrade (mask={mask})"
+        );
+        assert_eq!(
+            run_schedule(&cfg, &schedule, &config, Pipeline::oracle(None)),
+            reports,
+            "mask={mask}"
+        );
+    }
+}
+
+/// A first day with neither pDNS records nor seeds is skipped (no model
+/// is retained yet); the engine state its snapshot left behind must not
+/// leak into the healthy days that follow.
+#[test]
+fn skipped_blank_pdns_day_matches_reference() {
+    let cfg = IspConfig::tiny(94);
+    let schedule = [Feed::Outage, Feed::Healthy, Feed::Healthy, Feed::Healthy];
+    let config = serial_config();
+    let outcomes = run_outcomes(&cfg, &schedule, &config, Pipeline::tracker());
+    assert!(
+        matches!(
+            outcomes[0],
+            DayOutcome::Skipped {
+                error: TrackerError::InsufficientSeeds { .. },
+                ..
+            }
+        ),
+        "the outage day is skipped: {:?}",
+        outcomes[0]
+    );
+    assert!(outcomes[1..].iter().all(|o| o.report().is_some()));
+    assert_eq!(
+        run_outcomes(&cfg, &schedule, &config, Pipeline::oracle(None)),
+        outcomes
+    );
+}
+
+/// A seedless day between healthy days: the tracker measures it through
+/// the engine and scores the retained model on the measured rows, and
+/// every report equals the reference's, which scores the one-shot way.
+#[test]
+fn stale_model_day_matches_reference_report_for_report() {
+    let cfg = IspConfig::tiny(95);
+    let schedule = [Feed::Healthy, Feed::EmptyBlacklist, Feed::Healthy];
+    let reports = run_schedule(&cfg, &schedule, &serial_config(), Pipeline::tracker());
+    let degradation: Vec<&[Degradation]> =
+        reports.iter().map(|r| r.degradation.as_slice()).collect();
+    assert_eq!(
+        degradation,
+        [
+            &[][..],
+            &[Degradation::StaleModel {
+                trained_on: reports[0].day
+            }],
+            &[]
+        ],
+        "only the seedless day degrades"
+    );
+    assert_eq!(reports[1].threshold, reports[0].threshold);
+    assert_eq!(
+        run_schedule(&cfg, &schedule, &serial_config(), Pipeline::oracle(None)),
+        reports
+    );
 }
 
 /// Out-of-order delivery (the injector's day-swap fault) is rejected as a

@@ -1,33 +1,35 @@
-//! Cross-day parity contract: with `SegugioConfig::incremental` on, the
-//! [`Tracker`]'s day reports are bit-for-bit identical to the from-scratch
-//! path — across an 8-day deployment, at every parallelism width, and under
-//! randomized churn scenarios (DHCP lease churn, domain agility, heavier
-//! blacklist turnover).
+//! Cross-day parity contract: the [`Tracker`](segugio_core::Tracker) —
+//! which carries delta graphs, a rolling abuse index and a feature cache
+//! from day to day — produces day reports bit-for-bit identical to the
+//! from-scratch reference tracker in `tests/support` — across an 8-day
+//! deployment, at every parallelism width, with the reference's graphs
+//! built from spilled chunk runs, and under randomized churn scenarios
+//! (DHCP lease churn, domain agility, heavier blacklist turnover).
 
-use segugio_core::{DayReport, SnapshotInput, Tracker, TrackerConfig};
+mod support;
+
+use segugio_core::{DayReport, SnapshotInput, TrackerConfig};
 use segugio_traffic::{IspConfig, IspNetwork};
+use support::Pipeline;
 
-/// Runs a full multi-day deployment and returns every day's report.
+/// Runs a full multi-day deployment through `pipeline` and returns every
+/// day's report.
 ///
 /// Each call builds its own network from `cfg`; identical configs generate
 /// identical traffic, so two runs are comparable input-for-input.
-fn run_tracker(
+fn run(
     cfg: &IspConfig,
     days: usize,
-    incremental: bool,
     parallelism: Option<usize>,
-    chunk_run_capacity: Option<usize>,
+    mut pipeline: Pipeline,
 ) -> Vec<DayReport> {
     let mut isp = IspNetwork::new(cfg.clone());
     isp.warm_up(16);
-    let mut tracker = Tracker::new();
     let mut config = TrackerConfig {
         target_fpr: 0.02,
         ..TrackerConfig::default()
     };
-    config.segugio.incremental = incremental;
     config.segugio.parallelism = parallelism;
-    config.segugio.chunk_run_capacity = chunk_run_capacity;
     let mut reports = Vec::with_capacity(days);
     for _ in 0..days {
         let traffic = isp.next_day();
@@ -41,62 +43,62 @@ fn run_tracker(
             whitelist: isp.whitelist(),
             hidden: None,
         };
+        let outcome = pipeline.process_day(&input, isp.activity(), &config);
         reports.push(
-            tracker
-                .process_day(&input, isp.activity(), &config)
+            outcome
+                .report()
+                .cloned()
                 .expect("warmed-up fixture seeds both classes"),
         );
     }
     reports
 }
 
-/// The acceptance scenario: eight consecutive days, from-scratch at width 1
-/// as the reference, and both paths at widths 1, 2 and 4 matching it
-/// report-for-report.
+/// The acceptance scenario: eight consecutive days, the reference at
+/// width 1, and both the reference and the tracker at widths 1, 2, 4 and 8
+/// matching it report-for-report.
 #[test]
 fn eight_day_reports_match_at_every_width() {
     let cfg = IspConfig::tiny(90);
-    let reference = run_tracker(&cfg, 8, false, Some(1), None);
+    let reference = run(&cfg, 8, Some(1), Pipeline::oracle(None));
     assert!(
         reference.iter().any(|r| !r.new_detections.is_empty()),
         "reference run must detect something for the comparison to mean anything"
     );
 
     for width in [1usize, 2, 4, 8] {
-        let scratch = run_tracker(&cfg, 8, false, Some(width), None);
+        let oracle = run(&cfg, 8, Some(width), Pipeline::oracle(None));
         assert_eq!(
-            scratch, reference,
-            "from-scratch reports diverged at width {width}"
+            oracle, reference,
+            "reference reports diverged at width {width}"
         );
-        let incremental = run_tracker(&cfg, 8, true, Some(width), None);
+        let tracker = run(&cfg, 8, Some(width), Pipeline::tracker());
         assert_eq!(
-            incremental, reference,
-            "incremental reports diverged at width {width}"
+            tracker, reference,
+            "tracker reports diverged at width {width}"
         );
     }
 }
 
 /// The chunked (seal/spill/merge) CSR path is a drop-in replacement: a
-/// tiny run capacity forces every from-scratch day through spilled runs
-/// and `GraphBuilder::from_runs`, and the reports still match the
-/// in-memory reference bit for bit.
+/// tiny run capacity forces every reference day through spilled runs and
+/// `DaySnapshot::build_from_runs`, and both that reference and the tracker
+/// match the in-memory reference bit for bit.
 #[test]
 fn chunked_run_capacity_keeps_reports_identical() {
     let cfg = IspConfig::tiny(93);
-    let reference = run_tracker(&cfg, 6, false, Some(1), None);
+    let reference = run(&cfg, 6, Some(1), Pipeline::oracle(None));
     assert!(
         reference.iter().any(|r| !r.new_detections.is_empty()),
         "reference run must detect something for the comparison to mean anything"
     );
     // ~8k queries/day at capacity 512 ⇒ a dozen-plus spilled runs per day.
-    let chunked = run_tracker(&cfg, 6, false, Some(1), Some(512));
+    let chunked = run(&cfg, 6, Some(1), Pipeline::oracle(Some(512)));
     assert_eq!(chunked, reference, "chunked CSR path diverged");
-    // With incremental state on, only rebuild days route through the
-    // chunked path; the mix must still be identical.
-    let chunked_incremental = run_tracker(&cfg, 6, true, Some(1), Some(512));
+    let tracker = run(&cfg, 6, Some(1), Pipeline::tracker());
     assert_eq!(
-        chunked_incremental, reference,
-        "chunked + incremental mix diverged"
+        tracker, chunked,
+        "tracker diverged from the chunked reference"
     );
 }
 
@@ -127,8 +129,8 @@ fn churn_scenarios_keep_paths_identical() {
         ),
     ];
     for (name, cfg) in scenarios {
-        let scratch = run_tracker(&cfg, 7, false, Some(1), None);
-        let incremental = run_tracker(&cfg, 7, true, Some(1), None);
-        assert_eq!(incremental, scratch, "scenario `{name}` diverged");
+        let reference = run(&cfg, 7, Some(1), Pipeline::oracle(None));
+        let tracker = run(&cfg, 7, Some(1), Pipeline::tracker());
+        assert_eq!(tracker, reference, "scenario `{name}` diverged");
     }
 }
