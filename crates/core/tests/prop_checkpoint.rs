@@ -202,7 +202,7 @@ fn render_checkpoint(
     }
     // The simplest valid engine: nothing carried over yet.
     p.push_str(
-        "engine v1\ndelta 0\nrolling v1 no-window\ndomains 0\nend-rolling\nprev 0\nend-engine\n",
+        "engine v1\ndelta 0\nrolling v2 no-window\ndomains 0\nend-rolling\nprev 0\nend-engine\n",
     );
     p.push_str("end-tracker\n");
     with_valid_header(&p)
@@ -306,4 +306,17 @@ proptest! {
             "flipping byte {i} by {flip:#04x} went undetected"
         );
     }
+}
+
+/// A checkpoint whose rolling abuse-index section predates `rolling v2` is
+/// refused with a typed error: its per-(domain, IP) day counts may be
+/// inflated by same-day pDNS duplicates that eviction never drains.
+#[test]
+fn v1_rolling_section_is_rejected() {
+    let doc = render_checkpoint(&BTreeMap::new(), &BTreeMap::new(), 1, Some(0), &[], None, 0);
+    assert!(Tracker::load_from_str(&doc).is_ok());
+    let (_, payload) = doc.split_once('\n').expect("header line");
+    let v1 = with_valid_header(&payload.replace("rolling v2", "rolling v1"));
+    let err = Tracker::load_from_str(&v1).expect_err("v1 rolling section must be rejected");
+    assert!(err.to_string().contains("rolling v2"), "{err}");
 }

@@ -2,14 +2,14 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{self, BufRead, BufReader, Read};
 
 use segugio_graph::EdgeRuns;
-use segugio_model::{Day, DomainId, DomainTable, Ipv4, MachineId};
+use segugio_model::{Day, DomainId, DomainName, DomainTable, Ipv4, MachineId};
 use segugio_pdns::{ActivityStore, PassiveDns};
 
 use crate::error::IngestError;
-use crate::parser::LogRecord;
+use crate::parser::{parse_fields, LogRecord};
 use crate::quarantine::{IngestStats, QuarantinePolicy};
 
 /// One ingested day, ready for `segugio_core::SnapshotInput`.
@@ -27,6 +27,11 @@ pub struct IngestedDay {
 ///
 /// Client identifiers are interned to dense [`MachineId`]s in first-seen
 /// order; the mapping is exposed via [`LogCollector::machine_name`].
+///
+/// Every record, whichever reader produced it, goes through one
+/// accumulator that records each fact once per day: the activity store
+/// sees each `(domain, day)` once, the pDNS store each distinct
+/// `(domain, ip, day)` once.
 #[derive(Debug, Clone, Default)]
 pub struct LogCollector {
     table: DomainTable,
@@ -44,19 +49,75 @@ struct DayAccumulator {
     // Fixed-capacity sorted runs, spilled to scratch above the cap, so a
     // paper-scale day never holds all query observations in one `Vec`.
     queries: EdgeRuns,
-    // Ordered so `LogCollector::day` emits resolutions deterministically.
-    // IPs accumulate with duplicates and are deduped once at finalization
-    // (the old per-record `contains` scan was O(n²) per domain).
-    resolutions: BTreeMap<DomainId, Vec<Ipv4>>,
+    // Indexed by `DomainId`: `None` until the domain is first queried this
+    // day, then its distinct resolved IPs, kept sorted. Dense, so emitting
+    // resolutions in domain order needs no sort.
+    ips_of: Vec<Option<Vec<Ipv4>>>,
 }
 
 impl DayAccumulator {
     fn with_run_capacity(capacity: Option<usize>) -> Self {
         Self {
             queries: capacity.map_or_else(EdgeRuns::new, EdgeRuns::with_run_capacity),
-            resolutions: BTreeMap::new(),
+            // segugio-lint: allow(H4, once per distinct day, and Vec::new does not allocate)
+            ips_of: Vec::new(),
         }
     }
+}
+
+/// What the reader made of a line's qname.
+enum Qname {
+    /// Already interned under this exact (canonical) spelling.
+    Known(DomainId),
+    /// A new name, or a non-canonical spelling of an interned one.
+    Parsed(DomainName),
+}
+
+/// Reads lines into one reused buffer with [`BufRead::lines`] semantics:
+/// the `\n` (and a `\r` before it) is stripped, and a line that is not
+/// UTF-8 is an [`io::ErrorKind::InvalidData`] error after which reading
+/// can continue.
+struct LineReader<R> {
+    inner: BufReader<R>,
+    buf: Vec<u8>,
+    line_no: u64,
+}
+
+impl<R: Read> LineReader<R> {
+    fn new(reader: R) -> Self {
+        Self {
+            inner: BufReader::new(reader),
+            buf: Vec::new(),
+            line_no: 0,
+        }
+    }
+
+    /// The next line and its 1-based number, or `None` at end of input.
+    fn next_line(&mut self) -> Option<(u64, io::Result<&str>)> {
+        self.buf.clear();
+        self.line_no = self.line_no.saturating_add(1);
+        match self.inner.read_until(b'\n', &mut self.buf) {
+            Ok(0) => return None,
+            Ok(_) => {}
+            Err(e) => return Some((self.line_no, Err(e))),
+        }
+        let mut bytes = self.buf.as_slice();
+        if let Some(rest) = bytes.strip_suffix(b"\n") {
+            bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
+        }
+        let line = std::str::from_utf8(bytes).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        });
+        Some((self.line_no, line))
+    }
+}
+
+/// Blank lines and `#` comments carry no record.
+fn is_skipped(line: &str) -> bool {
+    line.trim().is_empty() || line.trim_start().starts_with('#')
 }
 
 impl LogCollector {
@@ -79,48 +140,86 @@ impl LogCollector {
     pub fn ingest(&mut self, record: LogRecord) {
         let machine = self.intern_machine(&record.client);
         let domain = self.table.intern(&record.qname);
-        let e2ld = self.table.e2ld_of(domain);
-        self.activity.record(domain, e2ld, record.day);
-        for &ip in &record.ips {
-            self.pdns.record(domain, ip, record.day);
-        }
-        let capacity = self.run_capacity;
-        let acc = self
-            .days
-            .entry(record.day.0)
-            .or_insert_with(|| DayAccumulator::with_run_capacity(capacity));
-        acc.queries.push(machine, domain);
-        if !record.ips.is_empty() {
-            let ips = acc.resolutions.entry(domain).or_default();
-            ips.extend_from_slice(&record.ips);
-        }
+        self.accumulate(record.day, machine, domain, &record.ips);
     }
 
     /// Parses and ingests every line of a reader (`#` comments and blank
     /// lines are skipped).
     ///
+    /// A line whose client and qname are already interned allocates
+    /// nothing: lines are read into one reused buffer, the qname is looked
+    /// up as written before it is validated, and IPs are parsed into a
+    /// reused list. Nothing from a line is interned until the whole line
+    /// has parsed.
+    ///
     /// # Errors
     ///
-    /// Returns the first parse or I/O failure, with its line number;
-    /// everything before the failing line has been ingested.
+    /// Returns the first parse or I/O failure (invalid UTF-8 included),
+    /// with its line number; everything before the failing line has been
+    /// ingested.
     pub fn ingest_reader<R: Read>(&mut self, reader: R) -> Result<usize, IngestError> {
+        let mut lines = LineReader::new(reader);
+        let mut ips = Vec::new();
         let mut ingested = 0usize;
-        for (idx, line) in BufReader::new(reader).lines().enumerate() {
-            let line_no = u64::try_from(idx).map_or(u64::MAX, |n| n.saturating_add(1));
-            let line = line.map_err(|e| IngestError::Io {
+        while let Some((line_no, line)) = lines.next_line() {
+            let line = line.map_err(|source| IngestError::Io {
                 line: line_no,
-                source: e,
+                source,
             })?;
-            if line.trim().is_empty() || line.trim_start().starts_with('#') {
+            if is_skipped(line) {
                 continue;
             }
             // Only strip the carriage return: a trailing tab is significant
             // (it delimits an empty IP list).
             let payload = line.trim_end_matches('\r');
-            self.ingest(LogRecord::parse(payload, line_no).map_err(IngestError::Parse)?);
+            let table = &self.table;
+            let fields = parse_fields(
+                payload,
+                line_no,
+                |qname| match table.get_exact(qname) {
+                    Some(id) => Ok(Qname::Known(id)),
+                    None => DomainName::parse(qname).map(Qname::Parsed),
+                },
+                &mut ips,
+            )
+            .map_err(IngestError::Parse)?;
+            let machine = self.intern_machine(fields.client);
+            let domain = match fields.qname {
+                Qname::Known(id) => id,
+                Qname::Parsed(name) => self.table.intern(&name),
+            };
+            self.accumulate(fields.day, machine, domain, &ips);
             ingested += 1;
         }
         Ok(ingested)
+    }
+
+    /// Records one observation in its day's accumulator: the query edge
+    /// always, the domain's activity on its first query of the day, and
+    /// each resolved IP the first time the day sees it for that domain.
+    fn accumulate(&mut self, day: Day, machine: MachineId, domain: DomainId, ips: &[Ipv4]) {
+        let capacity = self.run_capacity;
+        let acc = self
+            .days
+            .entry(day.0)
+            .or_insert_with(|| DayAccumulator::with_run_capacity(capacity));
+        acc.queries.push(machine, domain);
+        let idx = domain.index();
+        if acc.ips_of.len() <= idx {
+            acc.ips_of.resize_with(idx + 1, || None);
+        }
+        let slot = &mut acc.ips_of[idx];
+        if slot.is_none() {
+            self.activity
+                .record(domain, self.table.e2ld_of(domain), day);
+        }
+        let day_ips = slot.get_or_insert_with(Vec::new);
+        for &ip in ips {
+            if let Err(pos) = day_ips.binary_search(&ip) {
+                day_ips.insert(pos, ip);
+                self.pdns.record(domain, ip, day);
+            }
+        }
     }
 
     /// Parses a reader in quarantine mode: damaged lines are counted by
@@ -146,13 +245,12 @@ impl LogCollector {
     ) -> Result<IngestStats, IngestError> {
         let mut stats = IngestStats::default();
         let mut parsed: Vec<LogRecord> = Vec::new();
-        for (idx, line) in BufReader::new(reader).lines().enumerate() {
-            let line_no = u64::try_from(idx).map_or(u64::MAX, |n| n.saturating_add(1));
+        let mut lines = LineReader::new(reader);
+        while let Some((line_no, line)) = lines.next_line() {
             let line = match line {
                 Ok(line) => line,
-                // `lines()` yields `InvalidData` for non-UTF-8 bytes but
-                // the stream stays usable: count and move on.
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                // Non-UTF-8 bytes are data damage; the stream stays usable.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                     stats.bad_encoding += 1;
                     continue;
                 }
@@ -163,7 +261,7 @@ impl LogCollector {
                     })
                 }
             };
-            if line.trim().is_empty() || line.trim_start().starts_with('#') {
+            if is_skipped(line) {
                 stats.skipped_comments += 1;
                 continue;
             }
@@ -194,7 +292,9 @@ impl LogCollector {
         let next = u32::try_from(self.machines.len());
         // segugio-lint: allow(C1, exhausting the 32-bit machine-id space cannot be recovered mid-ingest) segugio-lint: allow(R1, same invariant transitively: ingest() aborting is the only sane response)
         let id = MachineId(next.expect("more than u32::MAX client machines"));
+        // segugio-lint: allow(H4, once per distinct client)
         self.machines.push(client.to_owned());
+        // segugio-lint: allow(H4, once per distinct client)
         self.machine_ids.insert(client.to_owned(), id);
         id
     }
@@ -248,8 +348,8 @@ impl LogCollector {
     ///
     /// Queries come back sorted and deduplicated (the downstream graph
     /// builder deduplicates anyway, so nothing pipeline-visible is lost);
-    /// per-domain IP lists are deduplicated here, once, instead of per
-    /// ingested record.
+    /// per-domain IP lists are sorted and hold each IP once, as the
+    /// accumulator kept them.
     ///
     /// # Errors
     ///
@@ -261,13 +361,12 @@ impl LogCollector {
         };
         let queries = acc.queries.collect_merged()?;
         let resolutions = acc
-            .resolutions
+            .ips_of
             .iter()
-            .map(|(&d, ips)| {
-                let mut ips = ips.clone();
-                ips.sort_unstable();
-                ips.dedup();
-                (d, ips)
+            .zip(0u32..)
+            .filter_map(|(ips, d)| match ips {
+                Some(ips) if !ips.is_empty() => Some((DomainId(d), ips.clone())),
+                _ => None,
             })
             .collect();
         Ok(Some(IngestedDay {
@@ -322,14 +421,30 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_ips_are_deduped_at_finalization() {
+    fn repeated_ips_are_recorded_once() {
+        // www.example.com resolved to the same IP in two records; the day's
+        // list carries it once.
         let c = collected();
         let d0 = c.day(Day(0)).unwrap();
-        // www.example.com resolved to the same IP in two records; the
-        // finalized list carries it once.
         let www = c.table().get_str("www.example.com").unwrap();
         let (_, ips) = d0.resolutions.iter().find(|(d, _)| *d == www).unwrap();
         assert_eq!(ips, &vec![Ipv4::from_octets(93, 184, 216, 34)]);
+
+        // Interleaved multi-IP answers, one spelled non-canonically: each
+        // (domain, ip, day) fact reaches the pDNS store once.
+        let mut c = LogCollector::new();
+        let line = "2\thost-a\tcdn.example.com\t10.0.0.2,10.0.0.1\n";
+        let text = format!("{line}{line}2\thost-b\tCDN.example.com.\t10.0.0.1,10.0.0.3\n{line}");
+        assert_eq!(c.ingest_reader(text.as_bytes()).unwrap(), 4);
+        let cdn = c.table().get_exact("cdn.example.com").unwrap();
+        let ip = |n| Ipv4::from_octets(10, 0, 0, n);
+        assert_eq!(c.pdns().len(), 3);
+        let mut day = c.pdns().records_on(Day(2)).to_vec();
+        day.sort_unstable();
+        assert_eq!(day, vec![(cdn, ip(1)), (cdn, ip(2)), (cdn, ip(3))]);
+        let d2 = c.day(Day(2)).unwrap();
+        assert_eq!(d2.resolutions, vec![(cdn, vec![ip(1), ip(2), ip(3)])]);
+        assert_eq!(d2.queries.len(), 2);
     }
 
     #[test]

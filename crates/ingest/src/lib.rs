@@ -28,6 +28,19 @@
 //!
 //! Comment lines (`#`) and blank lines are skipped.
 //!
+//! # Reading cost
+//!
+//! [`LogCollector::ingest_reader`] reads lines into one reused buffer and
+//! looks each qname up in the domain table as written before validating
+//! it, so a line whose client and qname are already interned allocates
+//! nothing; only a new name or a non-canonical spelling (upper case,
+//! trailing dot) runs the full domain parse and public-suffix walk.
+//! Every record — from this reader, [`LogCollector::ingest`], the Zeek
+//! reader or quarantined ingest — goes through one per-day accumulator
+//! that records each fact once: the activity store sees each
+//! `(domain, day)` once and the pDNS store each distinct
+//! `(domain, ip, day)` once, however often the log repeats it.
+//!
 //! # Example
 //!
 //! ```

@@ -2,6 +2,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use crate::error::{ParseDomainError, ParseDomainErrorKind};
@@ -23,7 +24,7 @@ use crate::psl;
 /// assert_eq!(d.e2ld().as_str(), "example.com");
 /// assert_eq!(d.label_count(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DomainName {
     name: Box<str>,
     /// Byte offset of the effective second-level domain within `name`.
@@ -162,6 +163,15 @@ impl Borrow<str> for DomainName {
     }
 }
 
+/// Hashes the name alone, exactly as `str` hashes, so `Borrow<str>`
+/// lookups (`map.get("www.example.com")`) find their entries. The e2LD
+/// offset is a function of the name and adds nothing to equality.
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
 /// A borrowed effective second-level domain extracted from a [`DomainName`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct E2ld<'a>(&'a str);
@@ -245,6 +255,21 @@ mod tests {
         assert!(!d.is_subdomain_of(&anc));
         let sub = DomainName::parse("x.example.com").unwrap();
         assert!(sub.is_subdomain_of(&anc));
+    }
+
+    #[test]
+    fn hash_agrees_with_borrowed_str() {
+        use std::collections::hash_map::RandomState;
+        use std::collections::HashMap;
+        use std::hash::BuildHasher;
+
+        let state = RandomState::new();
+        let d = DomainName::parse("a.b.bbc.co.uk").unwrap();
+        assert_eq!(state.hash_one(&d), state.hash_one("a.b.bbc.co.uk"));
+        let mut map = HashMap::new();
+        map.insert(d, 7);
+        assert_eq!(map.get("a.b.bbc.co.uk"), Some(&7));
+        assert_eq!(map.get("b.bbc.co.uk"), None);
     }
 
     #[test]

@@ -105,13 +105,17 @@ impl DomainTable {
             Some(&eid) => eid,
             None => {
                 let eid = E2ldId(self.e2lds.len() as u32);
+                // segugio-lint: allow(H4, once per distinct e2LD)
                 self.e2lds.push(e2ld_str.to_owned());
+                // segugio-lint: allow(H4, once per distinct e2LD)
                 self.e2ld_by_name.insert(e2ld_str.to_owned(), eid);
                 eid
             }
         };
+        // segugio-lint: allow(H4, once per distinct name)
         self.names.push(name.clone());
         self.e2ld_of.push(e2ld_id);
+        // segugio-lint: allow(H4, once per distinct name)
         self.by_name.insert(name.clone(), id);
         id
     }
@@ -125,6 +129,13 @@ impl DomainTable {
     pub fn get_str(&self, name: &str) -> Option<DomainId> {
         let parsed = DomainName::parse(name).ok()?;
         self.get(&parsed)
+    }
+
+    /// Looks up an already-canonical spelling (lowercase, no trailing dot)
+    /// without parsing or allocating. A miss means the name is new *or*
+    /// spelled non-canonically; [`get_str`](Self::get_str) handles both.
+    pub fn get_exact(&self, name: &str) -> Option<DomainId> {
+        self.by_name.get(name).copied()
     }
 
     /// The [`DomainName`] for `id`.
@@ -216,6 +227,10 @@ mod tests {
         assert_eq!(t.get_str("WWW.EXAMPLE.COM"), Some(a));
         assert_eq!(t.get_str("missing.example.com"), None);
         assert_eq!(t.get_str("not a domain"), None);
+        // The exact lookup hits only the canonical spelling.
+        assert_eq!(t.get_exact("www.example.com"), Some(a));
+        assert_eq!(t.get_exact("WWW.EXAMPLE.COM"), None);
+        assert_eq!(t.get_exact("www.example.com."), None);
     }
 
     #[test]

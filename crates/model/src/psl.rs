@@ -141,6 +141,7 @@ pub fn is_known_free_hosting(e2ld: &str) -> bool {
 pub(crate) fn e2ld_offset(name: &str) -> usize {
     // Walk label boundaries from the right; find the longest public suffix,
     // then extend by one label.
+    // segugio-lint: allow(H4, once per parsed name: the log reader parses only qnames its table misses)
     let mut boundaries: Vec<usize> = vec![0];
     for (i, b) in name.bytes().enumerate() {
         if b == b'.' {

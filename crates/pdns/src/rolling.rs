@@ -257,10 +257,10 @@ impl RollingAbuseIndex {
         use std::fmt::Write as _;
         match self.window {
             Some(w) => {
-                let _ = writeln!(out, "rolling v1 window {} {}", w.start().0, w.end().0);
+                let _ = writeln!(out, "rolling v2 window {} {}", w.start().0, w.end().0);
             }
             None => {
-                let _ = writeln!(out, "rolling v1 no-window");
+                let _ = writeln!(out, "rolling v2 no-window");
             }
         }
         let _ = writeln!(out, "domains {}", self.domains.len());
@@ -287,14 +287,18 @@ impl RollingAbuseIndex {
     ///
     /// Returns a description of the first malformed line. The loader never
     /// panics on hostile bytes and rejects states a real window could not
-    /// have produced (zero day-counts, duplicate domains, unsorted keys).
+    /// have produced (zero day-counts, day-counts above the window length,
+    /// duplicate domains, unsorted keys).
     pub fn read_text<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Self, String> {
         let header = lines
             .next()
             .ok_or_else(|| "unexpected end of input, expected rolling header".to_owned())?;
         let mut parts = header.split_whitespace();
-        if (parts.next(), parts.next()) != (Some("rolling"), Some("v1")) {
-            return Err("expected `rolling v1` header".to_owned());
+        // v1 sections were written while the pDNS store could hold
+        // same-day duplicates, so their day counts may exceed what eviction
+        // ever drains; they are rejected and the tracker restarts.
+        if (parts.next(), parts.next()) != (Some("rolling"), Some("v2")) {
+            return Err("expected `rolling v2` header".to_owned());
         }
         let window = match parts.next() {
             Some("no-window") => None,
@@ -326,6 +330,7 @@ impl RollingAbuseIndex {
             return Err("trailing tokens on `domains` line".to_owned());
         }
 
+        let max_days = window.map_or(0, DayWindow::len);
         let mut rolling = RollingAbuseIndex {
             window,
             ..RollingAbuseIndex::default()
@@ -356,6 +361,9 @@ impl RollingAbuseIndex {
                 let days: u32 = parse_field(parts.next(), "ip day count")?;
                 if days == 0 {
                     return Err("ip with zero in-window day count".to_owned());
+                }
+                if days > max_days {
+                    return Err("ip day count exceeds the window length".to_owned());
                 }
                 if ips.insert(ip, days).is_some() {
                     return Err("duplicate ip in domain state".to_owned());
@@ -618,22 +626,36 @@ mod tests {
     fn read_text_rejects_garbage() {
         for bad in [
             "",
-            "rolling v2 no-window",
-            "rolling v1 window 5 2",
-            "rolling v1 no-window\ndomains x",
-            "rolling v1 no-window\ndomains 1\nd 3 Z 1 7 1\nend-rolling",
+            "rolling v3 no-window",
+            "rolling v2 window 5 2",
+            "rolling v2 no-window\ndomains x",
+            "rolling v2 window 0 5\ndomains 1\nd 3 Z 1 7 1\nend-rolling",
             // Zero day-count is impossible for an in-window record.
-            "rolling v1 no-window\ndomains 1\nd 3 U 1 7 0\nend-rolling",
+            "rolling v2 window 0 5\ndomains 1\nd 3 U 1 7 0\nend-rolling",
+            // More in-window days than the window has.
+            "rolling v2 window 0 5\ndomains 1\nd 3 U 1 7 6\nend-rolling",
+            "rolling v2 no-window\ndomains 1\nd 3 U 1 7 1\nend-rolling",
             // Duplicate domain.
-            "rolling v1 no-window\ndomains 2\nd 3 U 1 7 1\nd 3 U 1 8 1\nend-rolling",
+            "rolling v2 window 0 5\ndomains 2\nd 3 U 1 7 1\nd 3 U 1 8 1\nend-rolling",
             // Missing terminator.
-            "rolling v1 no-window\ndomains 0",
+            "rolling v2 no-window\ndomains 0",
         ] {
             assert!(
                 RollingAbuseIndex::read_text(&mut bad.lines()).is_err(),
                 "accepted: {bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn read_text_rejects_v1_sections() {
+        // A v1 section may carry day counts inflated by same-day pDNS
+        // duplicates; even a well-formed one is refused.
+        let ok = "rolling v2 window 0 5\ndomains 1\nd 3 U 1 7 5\nend-rolling";
+        assert!(RollingAbuseIndex::read_text(&mut ok.lines()).is_ok());
+        let v1 = ok.replace("rolling v2", "rolling v1");
+        let err = RollingAbuseIndex::read_text(&mut v1.lines()).unwrap_err();
+        assert!(err.contains("rolling v2"), "{err}");
     }
 
     #[test]

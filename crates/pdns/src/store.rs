@@ -44,17 +44,18 @@ impl PassiveDns {
     /// Duplicate `(domain, ip, day)` records are collapsed.
     pub fn record(&mut self, domain: DomainId, ip: Ipv4, day: Day) {
         let entries = self.by_domain.entry(domain).or_default();
-        // Fast path: appends arrive in day order from the generator.
-        match entries.last() {
-            Some(&last) if last == (day, ip) => return,
-            Some(&(last_day, _)) if last_day <= day => entries.push((day, ip)),
-            _ => {
-                let pos = entries.partition_point(|&(d, i)| (d, i) < (day, ip));
-                if entries.get(pos) == Some(&(day, ip)) {
-                    return;
-                }
-                entries.insert(pos, (day, ip));
+        // Fast path: a record above the last one (a later day, or a higher
+        // IP on the same day) appends in order and cannot be a duplicate.
+        // Anything else goes through the search, so interleaved multi-IP
+        // answers (a, b, a, b) collapse and stay (day, ip)-sorted.
+        if entries.last().is_none_or(|&last| last < (day, ip)) {
+            entries.push((day, ip));
+        } else {
+            let pos = entries.partition_point(|&(d, i)| (d, i) < (day, ip));
+            if entries.get(pos) == Some(&(day, ip)) {
+                return;
             }
+            entries.insert(pos, (day, ip));
         }
         self.by_day.entry(day).or_default().push((domain, ip));
         self.records += 1;
@@ -174,6 +175,34 @@ mod tests {
         p.record(DomainId(1), ip(9), Day(8));
         p.record(DomainId(1), ip(1), Day(3));
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn interleaved_same_day_records_collapse_sorted() {
+        let mut p = PassiveDns::new();
+        let d = DomainId(1);
+        p.record(d, ip(1), Day(2));
+        for _ in 0..3 {
+            // One multi-IP answer repeated on the same day: a, b, a, b.
+            p.record(d, ip(7), Day(3));
+            p.record(d, ip(4), Day(3));
+        }
+        p.record(d, ip(7), Day(2));
+        assert_eq!(p.len(), 4);
+        let all = segugio_model::DayWindow::new(Day(0), Day(9));
+        assert_eq!(
+            p.records_of(d, all),
+            &[
+                (Day(2), ip(1)),
+                (Day(2), ip(7)),
+                (Day(3), ip(4)),
+                (Day(3), ip(7))
+            ]
+        );
+        let mut day3 = p.records_on(Day(3)).to_vec();
+        day3.sort_unstable();
+        assert_eq!(day3, vec![(d, ip(4)), (d, ip(7))]);
+        assert_eq!(p.records_on(Day(2)).len(), 2);
     }
 
     #[test]
